@@ -281,7 +281,7 @@ DEFAULT_CACHE_REGISTRY: tuple[CacheSpec, ...] = (
             f"{_DATASET}.trust",
         ),
         caches=(
-            (_PROFILE_STORE, ("_cache", "_matrix")),
+            (_PROFILE_STORE, ("_cache", "_matrix", "_stale")),
             (_PURE_CF, ("_product_profiles", "_product_matrix")),
             (_PREDICTOR, ("_weight_cache",)),
         ),
@@ -291,11 +291,30 @@ DEFAULT_CACHE_REGISTRY: tuple[CacheSpec, ...] = (
         ),
     ),
     CacheSpec(
+        name="dataset-rating-index",
+        backing=(f"{_DATASET}.ratings",),
+        caches=((_DATASET, ("_ratings_by_agent", "_ratings_by_product")),),
+        invalidate_hint=(
+            "write ratings through Dataset.add_rating/remove_rating, which "
+            "maintain the per-agent and per-product indexes"
+        ),
+    ),
+    CacheSpec(
+        name="dataset-trust-index",
+        backing=(f"{_DATASET}.trust",),
+        caches=((_DATASET, ("_trust_by_source",)),),
+        invalidate_hint=(
+            "write trust through Dataset.add_trust/remove_trust, which "
+            "maintain the per-source index"
+        ),
+    ),
+    CacheSpec(
         name="trust-successor-cache",
         backing=(f"{_TRUST_GRAPH}._succ", f"{_TRUST_GRAPH}._pred"),
-        caches=((_TRUST_GRAPH, ("_pos_succ",)),),
+        caches=((_TRUST_GRAPH, ("_pos_succ", "_packed")),),
         invalidate_hint=(
-            "maintain _pos_succ in the same mutator, as add_edge/remove_edge do"
+            "maintain _pos_succ and _packed in the same mutator, as "
+            "add_edge/remove_edge do"
         ),
     ),
     CacheSpec(

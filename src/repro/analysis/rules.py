@@ -549,7 +549,9 @@ class WallClockDurationRule(Rule):
 
 
 #: Dataset methods that mutate in place, and the dict fields behind them.
-_DATASET_MUTATORS = frozenset({"add_agent", "add_product", "add_trust", "add_rating"})
+_DATASET_MUTATORS = frozenset(
+    {"add_agent", "add_product", "add_trust", "add_rating", "remove_trust", "remove_rating"}
+)
 _DATASET_FIELDS = frozenset({"agents", "products", "trust", "ratings"})
 _DICT_MUTATORS = frozenset({"pop", "popitem", "update", "clear", "setdefault"})
 

@@ -165,12 +165,39 @@ class Dataset:
     * every rating references a known agent and a known product,
     * at most one trust statement per (source, target) pair and one rating
       per (agent, product) pair.
+
+    The partial-function views (:meth:`ratings_of`, :meth:`raters_of`,
+    :meth:`trust_of`) read per-agent, per-product and per-source indexes
+    over the same statement objects, built from the constructor dicts
+    and kept current by the ``add_*``/``remove_*`` mutators.  Those
+    mutators are therefore the only way to change ``ratings`` or
+    ``trust`` after construction: a direct dict write leaves the views
+    stale (reprolint RL200 flags one made through a parameter or an
+    attribute).
     """
 
     agents: dict[str, Agent] = field(default_factory=dict)
     products: dict[str, Product] = field(default_factory=dict)
     trust: dict[tuple[str, str], TrustStatement] = field(default_factory=dict)
     ratings: dict[tuple[str, str], Rating] = field(default_factory=dict)
+    # Each index's inner dicts follow the insertion order of the backing
+    # dict, so a view iterates exactly as a filtered scan of it would.
+    _ratings_by_agent: dict[str, dict[str, Rating]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _ratings_by_product: dict[str, dict[str, Rating]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _trust_by_source: dict[str, dict[str, TrustStatement]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        for (agent, product), rating in self.ratings.items():
+            self._ratings_by_agent.setdefault(agent, {})[product] = rating
+            self._ratings_by_product.setdefault(product, {})[agent] = rating
+        for (source, target), statement in self.trust.items():
+            self._trust_by_source.setdefault(source, {})[target] = statement
 
     # -- construction -----------------------------------------------------
 
@@ -192,11 +219,38 @@ class Dataset:
 
     def add_trust(self, statement: TrustStatement) -> None:
         """Record ``t_source(target)``; a later statement overwrites."""
-        self.trust[(statement.source, statement.target)] = statement
+        source, target = statement.source, statement.target
+        self.trust[(source, target)] = statement
+        self._trust_by_source.setdefault(source, {})[target] = statement
 
     def add_rating(self, rating: Rating) -> None:
         """Record ``r_agent(product)``; a later rating overwrites."""
-        self.ratings[(rating.agent, rating.product)] = rating
+        agent, product = rating.agent, rating.product
+        self.ratings[(agent, product)] = rating
+        self._ratings_by_agent.setdefault(agent, {})[product] = rating
+        self._ratings_by_product.setdefault(product, {})[agent] = rating
+
+    def remove_trust(self, source: str, target: str) -> TrustStatement:
+        """Retract ``t_source(target)``; a missing statement raises KeyError."""
+        statement = self.trust.pop((source, target))
+        del self._trust_by_source[source][target]
+        return statement
+
+    def remove_rating(self, agent: str, product: str) -> Rating:
+        """Retract ``r_agent(product)``; a missing rating raises KeyError."""
+        rating = self.ratings.pop((agent, product))
+        del self._ratings_by_agent[agent][product]
+        del self._ratings_by_product[product][agent]
+        return rating
+
+    def copy(self) -> "Dataset":
+        """An independent shallow copy (entries are immutable dataclasses)."""
+        return Dataset(
+            agents=dict(self.agents),
+            products=dict(self.products),
+            trust=dict(self.trust),
+            ratings=dict(self.ratings),
+        )
 
     # -- partial-function views -------------------------------------------
 
@@ -204,24 +258,21 @@ class Dataset:
         """Materialize the partial trust function ``t_source`` as a dict."""
         return {
             target: stmt.value
-            for (src, target), stmt in self.trust.items()
-            if src == source
+            for target, stmt in self._trust_by_source.get(source, {}).items()
         }
 
     def ratings_of(self, agent: str) -> dict[str, float]:
         """Materialize the partial rating function ``r_agent`` as a dict."""
         return {
             product: rating.value
-            for (a, product), rating in self.ratings.items()
-            if a == agent
+            for product, rating in self._ratings_by_agent.get(agent, {}).items()
         }
 
     def raters_of(self, product: str) -> dict[str, float]:
         """Inverse view: every agent's rating of *product*."""
         return {
-            a: rating.value
-            for (a, p), rating in self.ratings.items()
-            if p == product
+            agent: rating.value
+            for agent, rating in self._ratings_by_product.get(product, {}).items()
         }
 
     def iter_trust(self) -> Iterator[TrustStatement]:
@@ -277,17 +328,20 @@ class Dataset:
         trust statements and ratings are filtered to the kept agents.
         """
         kept = set(keep)
-        subset = Dataset(
+        return Dataset(
             agents={uri: a for uri, a in self.agents.items() if uri in kept},
             products=dict(self.products),
+            trust={
+                key: statement
+                for key, statement in self.trust.items()
+                if statement.source in kept and statement.target in kept
+            },
+            ratings={
+                key: rating
+                for key, rating in self.ratings.items()
+                if rating.agent in kept
+            },
         )
-        for key, statement in self.trust.items():
-            if statement.source in kept and statement.target in kept:
-                subset.trust[key] = statement
-        for key, rating in self.ratings.items():
-            if rating.agent in kept:
-                subset.ratings[key] = rating
-        return subset
 
 
 def descriptor_index(products: Mapping[str, Product]) -> dict[str, set[str]]:

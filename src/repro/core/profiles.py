@@ -131,9 +131,9 @@ class TaxonomyProfileBuilder:
 
         Both caches are keyed on taxonomy structure (and frozen product
         descriptors), so they survive any amount of rating churn — but a
-        process that edits its taxonomy in place (the streaming-update
-        path the ROADMAP plans) must call this or serve profiles built
-        against the old topic tree (RL200's taxonomy-caches pairing).
+        process that edits its taxonomy in place must call this or serve
+        profiles built against the old topic tree (RL200's
+        taxonomy-caches pairing).
         """
         with self._cache_guard:
             self._path_cache.invalidate()

@@ -78,12 +78,11 @@ class ProfileStore:
     thousands of agent pairs and profile construction dominates without it.
     Call :meth:`invalidate` after mutating an agent's ratings.
 
-    Both caches ride one :class:`ReentrantGuard` so the daemon's
-    concurrent readers never observe a half-invalidated store: the
-    profile dict is a :class:`GuardedCache` (atomic get-or-build) and
-    the packed matrix an :class:`AtomicSwap` (publish-by-replacement).
-    Re-entrancy matters because building the matrix builds profiles
-    through the same guard.  Single-threaded behavior is unchanged.
+    Both caches ride one :class:`ReentrantGuard`, so a reader on another
+    thread never observes a half-invalidated store: the profile dict is
+    a :class:`GuardedCache` (atomic get-or-build) and the packed matrix
+    an :class:`AtomicSwap` (publish-by-replacement).  Re-entrancy matters
+    because building the matrix builds profiles through the same guard.
     """
 
     def __init__(self, dataset: Dataset, builder: TaxonomyProfileBuilder) -> None:
@@ -96,6 +95,10 @@ class ProfileStore:
         self._matrix: "AtomicSwap[ProfileMatrix]" = AtomicSwap(
             "profile-matrix", guard=self._guard
         )
+        # Agents whose matrix rows predate their last invalidation.  The
+        # set is replaced, never mutated, so the lock-free read in
+        # matrix() sees one whole value.
+        self._stale: frozenset[str] = frozenset()
 
     def profile(self, agent: str) -> Profile:
         """The taxonomy profile of *agent* (cached)."""
@@ -109,14 +112,37 @@ class ProfileStore:
         """The whole community's profiles packed for the numpy engine.
 
         Built lazily on first use (the one call that pays the full
-        O(community) profile construction) and published atomically;
-        dropped by :meth:`invalidate`; requires numpy.
+        O(community) profile construction) and published atomically.
+        After :meth:`invalidate` of single agents the next call publishes
+        a copy with only their rows rebuilt; requires numpy.
         """
         cached = self._matrix.get()
-        if cached is not None:
+        if cached is not None and not self._stale:
             get_metrics().counter("similarity.matrix_cache.hit").inc()
             return cached
-        return self._matrix.get_or_build(self._build_matrix)
+        with self._guard:
+            current = self._matrix.get()
+            stale = self._stale
+            if current is not None and not stale:
+                get_metrics().counter("similarity.matrix_cache.hit").inc()
+                return current  # another thread refreshed it first
+            if current is None or not self._patchable(current, stale):
+                current = self._build_matrix()
+            else:
+                get_metrics().counter("similarity.matrix_cache.miss").inc()
+                current = current.with_rows(
+                    {agent: self.profile(agent) for agent in sorted(stale)}
+                )
+            self._matrix.swap(current)
+            self._stale = frozenset()
+            return current
+
+    def _patchable(self, matrix: "ProfileMatrix", stale: frozenset[str]) -> bool:
+        """Whether a row patch reproduces the full pack's row set."""
+        agents = self.dataset.agents
+        return len(matrix) == len(agents) and all(
+            agent in agents and agent in matrix for agent in stale
+        )
 
     def _build_matrix(self) -> "ProfileMatrix":
         from ..perf.matrix import ProfileMatrix
@@ -128,13 +154,18 @@ class ProfileStore:
     def invalidate(self, agent: str | None = None) -> None:
         """Drop cached profiles (one agent, or all when *agent* is None).
 
-        The packed matrix is dropped either way: its rows embed every
-        agent's profile, so any single stale row poisons it.  Both drops
+        For one agent the packed matrix is kept and the agent marked
+        stale, so the next :meth:`matrix` rebuilds that row only; with no
+        argument the matrix is dropped and fully repacked.  Both steps
         happen under the shared guard, so a concurrent reader sees the
         store before or after the invalidation, never between.
         """
         with self._guard:
-            self._matrix.clear()
+            if agent is None:
+                self._matrix.clear()
+                self._stale = frozenset()
+            else:
+                self._stale = self._stale | {agent}
             self._cache.invalidate(agent)
 
 

@@ -72,12 +72,7 @@ MIN_POPULATION = 10
 
 def copy_dataset(dataset: Dataset) -> Dataset:
     """An independent shallow copy (entries are immutable dataclasses)."""
-    return Dataset(
-        agents=dict(dataset.agents),
-        products=dict(dataset.products),
-        trust=dict(dataset.trust),
-        ratings=dict(dataset.ratings),
-    )
+    return dataset.copy()
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,12 +150,12 @@ class EpochState:
     def remove_agent(self, uri: str) -> None:
         """Tear *uri* out of the community: edges on both sides go too."""
         del self.dataset.agents[uri]
-        for key in [
+        for source, target in [
             k for k in self.dataset.trust if k[0] == uri or k[1] == uri
         ]:
-            del self.dataset.trust[key]
-        for key in [k for k in self.dataset.ratings if k[0] == uri]:
-            del self.dataset.ratings[key]
+            self.dataset.remove_trust(source, target)
+        for product in self.dataset.ratings_of(uri):
+            self.dataset.remove_rating(uri, product)
         self.membership.pop(uri, None)
         self.compromised.discard(uri)
         self.departed.add(uri)

@@ -94,6 +94,8 @@ class ProfileMatrix:
         vocabulary: TopicVocabulary,
         dense: np.ndarray,
         mask: np.ndarray,
+        *,
+        row_stats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> None:
         self.ids: list[str] = list(ids)
         self.vocabulary = vocabulary
@@ -102,13 +104,15 @@ class ProfileMatrix:
         self._row_of = {identifier: i for i, identifier in enumerate(self.ids)}
         if len(self._row_of) != len(self.ids):
             raise ValueError("profile identifiers must be unique")
-        # Per-row aggregates over each profile's own coordinates.
-        self.support = mask.sum(axis=1)  # key count (presence, not non-zero)
-        self.row_sum = dense.sum(axis=1)
-        self.row_sumsq = (dense * dense).sum(axis=1)
+        # Per-row aggregates over each profile's own coordinates: key
+        # count (presence, not non-zero), sum and squared sum, unless the
+        # caller already has them.
+        if row_stats is None:
+            row_stats = (mask.sum(axis=1), dense.sum(axis=1), (dense * dense).sum(axis=1))
+        self.support, self.row_sum, self.row_sumsq = row_stats
         self.row_norm = np.sqrt(self.row_sumsq)
-        # Lazy derived views, published atomically so daemon threads
-        # racing on first use each see either nothing or the final array.
+        # Lazy derived views, published atomically so threads racing on
+        # first use each see either nothing or the final array.
         self._dense_sq: AtomicSwap[np.ndarray] = AtomicSwap("dense-sq")
         self._topic_rows: AtomicSwap[list[np.ndarray]] = AtomicSwap("topic-rows")
 
@@ -129,21 +133,54 @@ class ProfileMatrix:
         """
         row_ids = sorted(profiles) if ids is None else list(ids)
         vocab = vocabulary if vocabulary is not None else TopicVocabulary()
-        entries: list[tuple[int, int, float]] = []
-        for row, identifier in enumerate(row_ids):
-            for topic, value in profiles[identifier].items():
-                entries.append((row, vocab.intern(topic), float(value)))
+        for identifier in row_ids:  # intern first: the width is then known
+            for topic in profiles[identifier]:
+                vocab.intern(topic)
         dense = np.zeros((len(row_ids), len(vocab)))
         mask = np.zeros((len(row_ids), len(vocab)))
-        for row, col, value in entries:
-            dense[row, col] = value
-            mask[row, col] = 1.0
+        for row, identifier in enumerate(row_ids):
+            profile = profiles[identifier]
+            cols = [vocab.intern(topic) for topic in profile]
+            dense[row, cols] = [float(value) for value in profile.values()]
+            mask[row, cols] = 1.0
         return cls(row_ids, vocab, dense, mask)
+
+    def with_rows(self, profiles: Mapping[str, Mapping[str, float]]) -> "ProfileMatrix":
+        """A new matrix whose rows for *profiles* are rebuilt from them.
+
+        Every other row is copied unchanged, so a profile edit costs one
+        array copy instead of a full repack.  Each identifier must
+        already have a row (:class:`KeyError` otherwise).  Topics without
+        a column become new trailing columns: the result then gets its
+        own copy of the vocabulary, extended, so a published matrix and
+        its vocabulary never change under a concurrent reader.
+        """
+        patched = self.rows_for(profiles)
+        vocab = self.vocabulary
+        if any(topic not in vocab for profile in profiles.values() for topic in profile):
+            vocab = TopicVocabulary(vocab.topics)
+        rows = ProfileMatrix.from_profiles(profiles, vocabulary=vocab, ids=list(profiles))
+        shape = (len(self), max(self.width, rows.width))
+        dense = np.zeros(shape)
+        mask = np.zeros(shape)
+        dense[:, : self.width] = self.dense
+        mask[:, : self.width] = self.mask
+        dense[patched] = 0.0
+        mask[patched] = 0.0
+        dense[patched, : rows.width] = rows.dense
+        mask[patched, : rows.width] = rows.mask
+        stats = (self.support.copy(), self.row_sum.copy(), self.row_sumsq.copy())
+        for whole, part in zip(stats, (rows.support, rows.row_sum, rows.row_sumsq)):
+            whole[patched] = part
+        return type(self)(self.ids, vocab, dense, mask, row_stats=stats)
 
     # -- shape and lookups ----------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def __contains__(self, identifier: str) -> bool:
+        return identifier in self._row_of
 
     @property
     def width(self) -> int:

@@ -96,11 +96,18 @@ def resolve_trust_engine(engine: str = "auto", size: int | None = None) -> str:
 
 
 def pack_graph(graph: TrustGraph) -> "TrustMatrix":
-    """Pack *graph* into a :class:`~repro.perf.trustmatrix.TrustMatrix`.
+    """*graph* as a :class:`~repro.perf.trustmatrix.TrustMatrix`.
 
-    Emits a ``trustmatrix.pack`` span so pack cost is attributable in
-    traces separately from the sweeps it amortizes over.
+    The packed matrix is cached on the graph until its next edit
+    (:meth:`TrustGraph.packed`).  Only a real pack emits the
+    ``trustmatrix.pack`` span and counts in ``trust.matrix.packs``, so
+    pack cost stays attributable separately from the sweeps it
+    amortizes over.
     """
+    return graph.packed(_pack)
+
+
+def _pack(graph: TrustGraph) -> "TrustMatrix":
     from ..perf.trustmatrix import TrustMatrix  # lazy: allowlisted trust->perf
 
     with get_tracer().span(

@@ -16,14 +16,15 @@ social network within predefined ranges only" (§3.2).
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from typing import TYPE_CHECKING, Optional
 
 from ..core.models import validate_score
-from ..util.sync import GuardedCache, ReentrantGuard
+from ..util.sync import AtomicSwap, GuardedCache, ReentrantGuard
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..core.models import Dataset
+    from ..perf.trustmatrix import TrustMatrix
 
 __all__ = ["TrustGraph"]
 
@@ -47,10 +48,15 @@ class TrustGraph:
         # per node per BFS level), and filtering the full adjacency dict
         # there allocated a fresh dict per call — the single hottest
         # allocation in the python engine.  The GuardedCache makes the
-        # memoized fill atomic for the query daemon's concurrent readers;
-        # edge mutations invalidate the touched node under the same guard.
+        # memoized fill atomic for readers on other threads; edge
+        # mutations invalidate the touched node under the same guard.
         self._pos_succ: GuardedCache[str, dict[str, float]] = GuardedCache(
             "positive-successors", guard=self._guard
+        )
+        # The graph packed for the numpy engine (see :meth:`packed`);
+        # every structural edit drops it under the same guard.
+        self._packed: "AtomicSwap[TrustMatrix]" = AtomicSwap(
+            "trust-matrix", guard=self._guard
         )
 
     # -- construction -----------------------------------------------------
@@ -60,6 +66,8 @@ class TrustGraph:
         if not node:
             raise ValueError("node identifier must be non-empty")
         with self._guard:
+            if node not in self._succ:
+                self._packed.clear()
             self._succ.setdefault(node, {})
             self._pred.setdefault(node, {})
             self._pos_succ.invalidate(node)
@@ -75,6 +83,7 @@ class TrustGraph:
             self._succ[source][target] = weight
             self._pred[target][source] = weight
             self._pos_succ.invalidate(source)
+            self._packed.clear()
 
     def remove_edge(self, source: str, target: str) -> None:
         """Retract a trust statement; missing edges raise :class:`KeyError`."""
@@ -82,6 +91,7 @@ class TrustGraph:
             del self._succ[source][target]
             del self._pred[target][source]
             self._pos_succ.invalidate(source)
+            self._packed.clear()
 
     @classmethod
     def from_dataset(cls, dataset: "Dataset") -> "TrustGraph":
@@ -149,6 +159,16 @@ class TrustGraph:
             for target, weight in self._succ.get(node, {}).items()
             if weight > 0.0
         }
+
+    def packed(self, pack: "Callable[[TrustGraph], TrustMatrix]") -> "TrustMatrix":
+        """``pack(self)``, cached until the next structural edit.
+
+        :func:`repro.trust.engine.pack_graph` routes through here, so
+        repeated numpy-engine queries over an unchanged graph share one
+        packed matrix; :meth:`add_edge`, :meth:`remove_edge` and
+        :meth:`add_node` of a new node drop it.
+        """
+        return self._packed.get_or_build(lambda: pack(self))
 
     def out_degree(self, node: str) -> int:
         return len(self._succ.get(node, {}))

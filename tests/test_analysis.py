@@ -281,6 +281,11 @@ class TestRL008SharedDatasetMutation:
         source = "def run_ex99(dataset):\n    del dataset.ratings[key]\n"
         assert "RL008" in codes_of(lint_source(source))
 
+    @pytest.mark.parametrize("call", ["remove_rating(a, p)", "remove_trust(a, b)"])
+    def test_entry_point_remove_call_triggers(self, call):
+        source = f"def run_ex99(dataset):\n    dataset.{call}\n"
+        assert "RL008" in codes_of(lint_source(source))
+
     def test_annotated_param_triggers(self):
         source = "def run_ex99(ds: Dataset):\n    ds.add_product(p)\n"
         assert "RL008" in codes_of(lint_source(source))

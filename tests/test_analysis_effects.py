@@ -448,19 +448,25 @@ _RL200_BASE = {
         class Dataset:
             def __init__(self):
                 self.ratings = {}
+                self._ratings_by_agent = {}
+                self._ratings_by_product = {}
 
             def add_rating(self, key, value):
                 self.ratings[key] = value
+                self._ratings_by_agent[key] = value
+                self._ratings_by_product[key] = value
     """,
     "repro/core/recommender.py": """
         class ProfileStore:
             def __init__(self):
                 self._cache = {}
                 self._matrix = None
+                self._stale = frozenset()
 
             def invalidate(self):
                 self._cache.clear()
                 self._matrix = None
+                self._stale = frozenset()
     """,
 }
 
@@ -864,6 +870,46 @@ class TestRepoEffects:
         for mutator in ("add_edge", "remove_edge", "add_node"):
             atoms = effects[f"repro.trust.graph.TrustGraph.{mutator}"]
             assert "mutates:repro.trust.graph.TrustGraph._pos_succ" in atoms
+
+    def test_trust_graph_mutators_drop_the_packed_matrix(self, repo_index):
+        effects = analyze_effects(repo_index).effects()
+        for mutator in ("add_edge", "remove_edge", "add_node"):
+            atoms = effects[f"repro.trust.graph.TrustGraph.{mutator}"]
+            assert "mutates:repro.trust.graph.TrustGraph._packed" in atoms
+
+    def test_dataset_mutators_maintain_their_indexes(self, repo_index):
+        effects = analyze_effects(repo_index).effects()
+        for mutator, index in (
+            ("add_rating", "_ratings_by_agent"),
+            ("add_rating", "_ratings_by_product"),
+            ("remove_rating", "_ratings_by_agent"),
+            ("remove_rating", "_ratings_by_product"),
+            ("add_trust", "_trust_by_source"),
+            ("remove_trust", "_trust_by_source"),
+        ):
+            atoms = effects[f"repro.core.models.Dataset.{mutator}"]
+            assert f"mutates:repro.core.models.Dataset.{index}" in atoms
+
+    def test_direct_dataset_dict_write_is_flagged(self, tmp_path):
+        """A write around ``add_rating`` leaves the real index stale."""
+        index = build_index(
+            tmp_path,
+            {
+                "repro/__init__.py": "",
+                "repro/core/__init__.py": "",
+                "repro/core/models.py": (REPO_ROOT / "src/repro/core/models.py").read_text(),
+                "repro/core/split.py": """
+                    from .models import Dataset
+
+                    def withhold(train: Dataset, key) -> None:
+                        del train.ratings[key]
+                """,
+            },
+        )
+        findings = list(CacheCoherenceRule().check_project(index))
+        assert [f.code for f in findings] == ["RL200"]
+        assert "withhold" in findings[0].message
+        assert "dataset-rating-index" in findings[0].message
 
     def test_appleseed_compute_does_not_mutate_the_graph(self, repo_index):
         effects = analyze_effects(repo_index).effects()

@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.models import Rating
+from repro.core.models import Agent, Product, Rating
 from repro.core.neighborhood import NeighborhoodFormation
 from repro.core.profiles import TaxonomyProfileBuilder
 from repro.core.recommender import (
@@ -26,6 +28,7 @@ from repro.core.recommender import (
     _rank_votes,
     _vote_scores,
 )
+from repro.core.similarity import isclose
 from repro.trust.graph import TrustGraph
 
 pytest.importorskip("numpy")
@@ -70,13 +73,13 @@ class TestProfileStoreInvalidate:
         product = sorted(dataset.products)[0]
         before = store.profile(agent)
         rating = Rating(agent=agent, product=product, value=1.0)
-        dataset.ratings[(agent, product)] = rating
+        dataset.add_rating(rating)
         try:
             assert store.profile(agent) is before  # cache hides the mutation
             store.invalidate(agent)
             assert store.profile(agent) != before
         finally:
-            del dataset.ratings[(agent, product)]
+            dataset.remove_rating(agent, product)
             store.invalidate(agent)
 
     def test_matrix_cached_and_dropped_on_any_invalidation(
@@ -89,6 +92,121 @@ class TestProfileStoreInvalidate:
         assert rebuilt is not matrix
         store.invalidate()
         assert store.matrix() is not rebuilt
+
+
+class TestRowPatch:
+    """``invalidate(agent)`` re-packs that agent's row only.
+
+    Whatever the patch sequence, the patched store must score like a
+    store packed from scratch over the same ratings, and recommend what
+    the python oracle recommends.
+    """
+
+    @staticmethod
+    def _fresh(small_community):
+        dataset = small_community.dataset.copy()
+        store = ProfileStore(dataset, TaxonomyProfileBuilder(small_community.taxonomy))
+        return dataset, store
+
+    @staticmethod
+    def _assert_parity(small_community, dataset, store, agents):
+        taxonomy = small_community.taxonomy
+        graph = TrustGraph.from_dataset(dataset)
+        patched = SemanticWebRecommender(
+            dataset=dataset,
+            graph=graph,
+            profiles=store,
+            formation=NeighborhoodFormation(engine="numpy"),
+            engine="numpy",
+        )
+        rebuilt = SemanticWebRecommender.from_dataset(dataset, taxonomy, engine="numpy")
+        oracle = SemanticWebRecommender.from_dataset(dataset, taxonomy, engine="python")
+        everyone = set(dataset.agents)
+        for agent in agents:
+            got = patched.similarities(agent, everyone - {agent})
+            want = rebuilt.similarities(agent, everyone - {agent})
+            assert got.keys() == want.keys()
+            assert all(isclose(got[peer], want[peer]) for peer in want)
+            items = patched.recommend(agent, limit=10)
+            expected = oracle.recommend(agent, limit=10)
+            assert [i.product for i in items] == [i.product for i in expected]
+            assert [i.supporters for i in items] == [i.supporters for i in expected]
+            assert all(isclose(i.score, e.score) for i, e in zip(items, expected))
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 119),
+                st.integers(0, 239),
+                st.sampled_from([-1.0, 0.5, 1.0]),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_random_writes_match_a_fresh_pack(self, small_community, writes):
+        dataset, store = self._fresh(small_community)
+        agents = sorted(dataset.agents)
+        products = sorted(dataset.products)
+        packed = store.matrix()
+        for agent_index, product_index, value, read in writes:
+            agent = agents[agent_index]
+            dataset.add_rating(Rating(agent, products[product_index], value))
+            store.invalidate(agent)
+            if read:
+                store.matrix()  # patch now; later writes patch the patch
+        patched = store.matrix()
+        assert patched is not packed
+        assert patched.ids == packed.ids
+        touched = sorted({agents[index] for index, *_ in writes})
+        self._assert_parity(small_community, dataset, store, touched[:3] + agents[:1])
+
+    def test_new_topics_extend_a_copy_of_the_vocabulary(self, small_community):
+        dataset, store = self._fresh(small_community)
+        packed = store.matrix()
+        width = packed.width
+        known = set(packed.vocabulary.topics)
+        fresh_topics = [t for t in small_community.taxonomy.leaves() if t not in known]
+        assert fresh_topics
+        dataset.add_product(Product("isbn:new", descriptors=frozenset(fresh_topics[:2])))
+        agent = sorted(dataset.agents)[3]
+        dataset.add_rating(Rating(agent, "isbn:new", 1.0))
+        store.invalidate(agent)
+        patched = store.matrix()
+        assert patched.width > width
+        assert packed.width == width and len(packed.vocabulary) == width
+        assert patched.vocabulary is not packed.vocabulary
+        assert patched.vocabulary.topics[:width] == packed.vocabulary.topics
+        self._assert_parity(small_community, dataset, store, [agent, sorted(dataset.agents)[0]])
+
+    def test_agent_losing_its_last_rating(self, small_community):
+        dataset, store = self._fresh(small_community)
+        packed = store.matrix()
+        agent = sorted(dataset.agents)[5]
+        for product in dataset.ratings_of(agent):
+            dataset.remove_rating(agent, product)
+        store.invalidate(agent)
+        patched = store.matrix()
+        assert patched.vocabulary is packed.vocabulary  # a patch, not a repack
+        row = patched.row_index(agent)
+        assert patched.support[row] == 0 and not patched.dense[row].any()
+        assert packed.support[row] > 0  # the published matrix is untouched
+        self._assert_parity(small_community, dataset, store, [agent, sorted(dataset.agents)[0]])
+
+    def test_agent_without_a_row_forces_a_full_pack(self, small_community):
+        dataset, store = self._fresh(small_community)
+        packed = store.matrix()
+        newcomer = "http://agents.example.org/newcomer"
+        dataset.add_agent(Agent(uri=newcomer))
+        dataset.add_rating(Rating(newcomer, sorted(dataset.products)[0], 1.0))
+        store.invalidate(newcomer)
+        repacked = store.matrix()
+        assert newcomer not in packed and newcomer in repacked
+        assert repacked.vocabulary is not packed.vocabulary
+        assert repacked.ids == sorted(dataset.agents)
+        self._assert_parity(small_community, dataset, store, [newcomer])
 
 
 class TestEngineEquivalence:

@@ -17,14 +17,18 @@ Two layers:
 from __future__ import annotations
 
 import pickle
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.core.models import Rating
 from repro.core.profiles import TaxonomyProfileBuilder
 from repro.core.recommender import ProfileStore
+from repro.perf.trustmatrix import TrustMatrix
+from repro.trust.engine import pack_graph
 from repro.trust.graph import TrustGraph
 from repro.util.sync import AtomicSwap, GuardedCache, ReentrantGuard
 
@@ -182,6 +186,19 @@ class TestAtomicSwap:
 
 READERS = 4
 ITERATIONS = 400
+#: Upper bound on any one wait in the stress tests, in seconds.
+TIMEOUT_S = 120
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads every 10 µs so racing steps interleave finely."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
 
 
 @pytest.mark.concurrency
@@ -244,6 +261,110 @@ class TestConcurrencyStress:
             stop.set()
             writer_future.result()
         assert all(results)
+
+    def test_profile_store_row_patch_with_invalidating_writer(
+        self, tiny_dataset, figure1, fast_switching
+    ):
+        """Single-agent invalidations race ``matrix()`` readers.
+
+        The writer flips one of alice's ratings between +1 and -1 (an
+        overwrite, so no view changes size under a reader) and
+        invalidates her, and invalidates everyone else without a data
+        change.  Readers must only ever see one of the two serial
+        matrices, and once the writer stops the next matrix must hold
+        the final rating: a lost invalidation would leave the row stale.
+        """
+        alice = "http://example.org/alice"
+        store = ProfileStore(tiny_dataset, TaxonomyProfileBuilder(figure1))
+
+        def state(value: float) -> tuple:
+            tiny_dataset.add_rating(Rating(alice, "isbn:1", value))
+            store.invalidate(alice)
+            matrix = store.matrix()
+            return (matrix.dense.tobytes(), matrix.mask.tobytes(), matrix.row_sum.tobytes())
+
+        valid = {state(-1.0), state(1.0)}
+        assert len(valid) == 2
+        agents = sorted(tiny_dataset.agents)
+        stop = threading.Event()
+
+        def writer() -> float:
+            value = 1.0
+            while not stop.is_set():
+                value = -value
+                tiny_dataset.add_rating(Rating(alice, "isbn:1", value))
+                for agent in agents:
+                    store.invalidate(agent)
+            return value
+
+        def reader(_: int) -> bool:
+            for _ in range(ITERATIONS):
+                matrix = store.matrix()
+                seen = (matrix.dense.tobytes(), matrix.mask.tobytes(), matrix.row_sum.tobytes())
+                if matrix.ids != agents or seen not in valid:
+                    return False
+            return True
+
+        with ThreadPoolExecutor(max_workers=READERS + 1) as pool:
+            writer_future = pool.submit(writer)
+            results = list(pool.map(reader, range(READERS), timeout=TIMEOUT_S))
+            stop.set()
+            final = writer_future.result(timeout=TIMEOUT_S)
+        assert all(results)
+        assert tiny_dataset.ratings_of(alice)["isbn:1"] == final
+        fresh = ProfileStore(tiny_dataset, TaxonomyProfileBuilder(figure1))
+        packed = store.matrix()
+        row = packed.row_index(alice)
+        assert {
+            topic: packed.dense[row, col]
+            for col, topic in enumerate(packed.vocabulary.topics[: packed.width])
+            if packed.mask[row, col]
+        } == fresh.profile(alice)
+
+    def test_trust_graph_packed_matrix_with_edge_writer(self, fast_switching):
+        """Readers share the cached pack while a writer drops it.
+
+        Every pack a reader gets must be one of the serial packs of the
+        three states the toggling writer passes through.
+        """
+        graph = TrustGraph.from_edges(
+            [("a", "b", 0.9), ("a", "c", 0.8), ("b", "c", 0.7), ("c", "a", -0.4)]
+        )
+
+        def signature(matrix) -> tuple:
+            return (
+                tuple(matrix.ids),
+                matrix.indptr.tobytes(),
+                matrix.indices.tobytes(),
+                matrix.weights.tobytes(),
+                matrix.neg_src.tobytes(),
+                matrix.neg_weights.tobytes(),
+            )
+
+        valid = {signature(pack_graph(graph))}
+        graph.remove_edge("a", "b")
+        valid.add(signature(pack_graph(graph)))
+        graph.add_edge("a", "b", 0.9)
+        valid.add(signature(pack_graph(graph)))
+        stop = threading.Event()
+
+        def writer() -> None:
+            while not stop.is_set():
+                graph.remove_edge("a", "b")
+                graph.add_edge("a", "b", 0.9)
+
+        def reader(_: int) -> bool:
+            return all(
+                signature(pack_graph(graph)) in valid for _ in range(ITERATIONS)
+            )
+
+        with ThreadPoolExecutor(max_workers=READERS + 1) as pool:
+            writer_future = pool.submit(writer)
+            results = list(pool.map(reader, range(READERS), timeout=TIMEOUT_S))
+            stop.set()
+            writer_future.result(timeout=TIMEOUT_S)
+        assert all(results)
+        assert signature(pack_graph(graph)) == signature(TrustMatrix.from_graph(graph))
 
     def test_trust_graph_positive_successors_with_edge_writer(self):
         """Seed regression: readers iterated a live dict the writer resized.
